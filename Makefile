@@ -35,8 +35,8 @@ test-race:
 # scheduling daemon answers byte-identically to the library and drains
 # gracefully (serve-smoke + bench-serve), the distributed-dispatch chaos
 # drill survives a hub restart and worker SIGKILL mid-request
-# (chaos-smoke), the wfformat ingestion path survives a bounded fuzz
-# run, the scale-tier data plane keeps its throughput, memory, and
+# (chaos-smoke), the wfformat ingestion path and checkpoint-store
+# loading survive bounded fuzz runs, the scale-tier data plane keeps its throughput, memory, and
 # bit-identity floors (bench-scale), per-package coverage stays above
 # the COVER_BASELINE floors, and every package stays documented.
 verify: build test test-race docs-lint bench-smoke bench-pisa bench-scale coord-smoke serve-smoke chaos-smoke bench-serve fuzz-short cover
@@ -83,12 +83,17 @@ chaos-smoke:
 bench-serve:
 	SERVE_BENCH_GATE=1 $(GO) test -run TestServeLoadGate -count 1 -v -timeout 300s ./internal/serve/
 
-# fuzz-short runs the wfformat ingestion fuzzer (Parse → ToTaskGraph →
-# ToNetwork → Validate → Marshal round trip must never panic) for a
-# bounded slice of CI time, seeded from the committed fixtures in
-# internal/wfc/testdata/.
+# fuzz-short runs each trust-boundary fuzzer for a bounded slice of CI
+# time: the wfformat ingestion fuzzer (Parse → ToTaskGraph → ToNetwork →
+# Validate → Marshal round trip must never panic), seeded from the
+# committed fixtures in internal/wfc/testdata/, and the checkpoint-store
+# fuzzer (Checkpoint.Load over both formats never panics, and a store
+# that loads keeps every cell through one more Store + Flush + Load),
+# seeded with JSON stores, multi-member stream stores, torn tails and
+# garbage.
 fuzz-short:
 	$(GO) test -fuzz FuzzParse -fuzztime 10s -run '^$$' ./internal/wfc/
+	$(GO) test -fuzz FuzzCheckpointLoad -fuzztime 10s -run '^$$' ./internal/serialize/
 
 # cover enforces the per-package statement-coverage floors in
 # COVER_BASELINE: `go test -cover` over the whole module, then every

@@ -68,10 +68,11 @@ func splitStreams(seed uint64, n int) []*rng.RNG {
 }
 
 // pisaCell is one checkpointable unit of a PISA grid: the best ratio
-// plus the adversarial instance, serialized through package serialize so
-// infinite link strengths survive the JSON round trip.
+// plus the adversarial instance, both serialized through package
+// serialize so infinite link strengths and ratios (a base makespan of 0)
+// survive the JSON round trip.
 type pisaCell struct {
-	Ratio    float64         `json:"ratio"`
+	Ratio    serialize.Float `json:"ratio"`
 	Instance json.RawMessage `json:"instance"`
 }
 
@@ -172,7 +173,7 @@ func PairwisePISARun(scheds []scheduler.Scheduler, opts PairwiseOptions, ro runn
 			if err != nil {
 				return pisaCell{}, err
 			}
-			return pisaCell{Ratio: r.BestRatio, Instance: raw}, nil
+			return pisaCell{Ratio: serialize.Float(r.BestRatio), Instance: raw}, nil
 		})
 	if err != nil {
 		return nil, err
@@ -191,10 +192,11 @@ func PairwisePISARun(scheds []scheduler.Scheduler, opts PairwiseOptions, ro runn
 		if err != nil {
 			return nil, fmt.Errorf("experiments: cell (%d,%d): %w", i, j, err)
 		}
-		res.Ratios[i][j] = c.Ratio
+		ratio := float64(c.Ratio)
+		res.Ratios[i][j] = ratio
 		res.Instances[i][j] = inst
-		if c.Ratio > res.Worst[j] {
-			res.Worst[j] = c.Ratio
+		if ratio > res.Worst[j] {
+			res.Worst[j] = ratio
 		}
 	}
 	return res, nil
@@ -493,7 +495,7 @@ func AppSpecificRun(scheds []scheduler.Scheduler, opts AppSpecificOptions, ro ru
 			if err != nil {
 				return pisaCell{}, err
 			}
-			return pisaCell{Ratio: pr.BestRatio, Instance: raw}, nil
+			return pisaCell{Ratio: serialize.Float(pr.BestRatio), Instance: raw}, nil
 		})
 	if err != nil {
 		return nil, err
@@ -510,7 +512,7 @@ func AppSpecificRun(scheds []scheduler.Scheduler, opts AppSpecificOptions, ro ru
 		if err != nil {
 			return nil, fmt.Errorf("experiments: cell (%d,%d): %w", i, j, err)
 		}
-		res.Ratios[i][j] = c.Ratio
+		res.Ratios[i][j] = float64(c.Ratio)
 		res.Instances[i][j] = inst
 	}
 	return res, nil

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,9 +18,12 @@ var errStopIter = errors.New("serialize: stop iteration")
 
 // Checkpoint is a file-backed store of per-cell sweep results — the
 // persistence side of runner's checkpoint/resume hook. Completed cells
-// are kept as raw JSON keyed by cell index; the file is rewritten
-// atomically (write-to-temp, rename) so a killed sweep never leaves a
-// truncated store behind.
+// are kept as raw JSON keyed by cell index. A legacy JSON store is
+// rewritten atomically (write-to-temp, rename) on every write; a stream
+// store (".gz" path) gets one gzip member appended per write, so a
+// write costs O(cells written), and a member torn by a crash is
+// truncated away by the write that failed or by the next Load. Either
+// way a killed sweep never leaves a store that fails to resume.
 //
 // The zero value is not usable; construct with NewCheckpoint.
 type Checkpoint struct {
@@ -28,11 +32,20 @@ type Checkpoint struct {
 	mu          sync.Mutex
 	fingerprint string
 	cells       map[int]json.RawMessage
-	// pending counts cells stored since the last write; Store rewrites
-	// the file every flushEvery cells, and Flush always rewrites when
-	// anything is pending.
-	pending    int
+	// unflushed lists the cells stored since the last write; Store writes
+	// every flushEvery cells, and Flush always writes when any are
+	// unflushed.
+	unflushed  []int
 	flushEvery int
+
+	// Stream-store state. appendable says the file's first size bytes are
+	// complete members holding the header and every written cell, so the
+	// next write appends a member there; otherwise it rewrites the whole
+	// store. sw encodes members into buf, reusing one gzip.Writer.
+	appendable bool
+	size       int64
+	sw         *StoreWriter
+	buf        bytes.Buffer
 }
 
 // NewCheckpoint returns a checkpoint store persisted at path. Cells are
@@ -76,6 +89,8 @@ type checkpointFile struct {
 func (c *Checkpoint) Load() (map[int]json.RawMessage, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.unflushed = c.unflushed[:0]
+	c.appendable, c.size = false, 0
 	data, err := os.ReadFile(c.path)
 	if os.IsNotExist(err) {
 		c.cells = map[int]json.RawMessage{}
@@ -87,11 +102,12 @@ func (c *Checkpoint) Load() (map[int]json.RawMessage, error) {
 	if isGzip(data) {
 		// Stream-format store (see stream.go): decode record by record,
 		// then serve the same map shape the JSON path produces.
-		cells, err := loadStream(c.path, c.fingerprint)
+		cells, size, err := loadStream(c.path, data, c.fingerprint)
 		if err != nil {
 			return nil, err
 		}
 		c.cells = cells
+		c.appendable, c.size = true, size
 		out := make(map[int]json.RawMessage, len(cells))
 		for k, raw := range cells {
 			out[k] = raw
@@ -134,8 +150,8 @@ func (c *Checkpoint) Store(index int, cell json.RawMessage) error {
 		c.cells = map[int]json.RawMessage{}
 	}
 	c.cells[index] = cell
-	c.pending++
-	if c.pending >= c.flushEvery {
+	c.unflushed = append(c.unflushed, index)
+	if len(c.unflushed) >= c.flushEvery {
 		return c.writeLocked()
 	}
 	return nil
@@ -196,14 +212,14 @@ func PeekFingerprint(path string) (string, error) {
 func (c *Checkpoint) Flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.pending == 0 {
+	if len(c.unflushed) == 0 {
 		return nil
 	}
 	return c.writeLocked()
 }
 
 // Touch persists the store even when it holds no cells (Store/Flush
-// only write when something is pending). A shard of a distributed sweep
+// only write when something is unflushed). A shard of a distributed sweep
 // that owns zero cells still must leave a fingerprinted empty store
 // behind, or the merge would refuse the "missing" file despite the
 // other shards covering every cell.
@@ -222,7 +238,8 @@ func (c *Checkpoint) Remove() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cells = nil
-	c.pending = 0
+	c.unflushed = c.unflushed[:0]
+	c.appendable, c.size = false, 0
 	err := os.Remove(c.path)
 	if os.IsNotExist(err) {
 		return nil
@@ -230,17 +247,25 @@ func (c *Checkpoint) Remove() error {
 	return err
 }
 
-// writeLocked rewrites the store atomically. Callers hold c.mu. Paths
+// writeLocked persists the unflushed cells. Callers hold c.mu. Paths
 // ending in ".gz" opt into the stream format (stream.go); everything
-// else writes the legacy JSON object, byte-identical to prior releases.
+// else rewrites the legacy JSON object, byte-identical to prior
+// releases. On failure the cells stay unflushed for the next write.
 func (c *Checkpoint) writeLocked() error {
+	var err error
 	if strings.HasSuffix(c.path, streamSuffix) {
-		if err := writeStreamLocked(c.path, c.fingerprint, c.cells); err != nil {
-			return err
-		}
-		c.pending = 0
-		return nil
+		err = c.writeMemberLocked()
+	} else {
+		err = c.writeJSONLocked()
 	}
+	if err == nil {
+		c.unflushed = c.unflushed[:0]
+	}
+	return err
+}
+
+// writeJSONLocked rewrites the legacy JSON store atomically.
+func (c *Checkpoint) writeJSONLocked() error {
 	cf := checkpointFile{
 		Fingerprint: c.fingerprint,
 		Cells:       make(map[string]json.RawMessage, len(c.cells)),
@@ -252,7 +277,113 @@ func (c *Checkpoint) writeLocked() error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(c.path), filepath.Base(c.path)+".tmp*")
+	return writeFileAtomic(c.path, data)
+}
+
+// writeMemberLocked writes one gzip member holding the unflushed cells,
+// ascending by index. It appends the member when the store is
+// appendable; otherwise — a fresh store, one never loaded, a legacy
+// JSON store at a ".gz" path, or one that vanished or shrank under the
+// sweep — the member holds the header and every cell and replaces the
+// file atomically, so a store written once is byte-identical however
+// its cells arrived.
+func (c *Checkpoint) writeMemberLocked() error {
+	keys := c.unflushed
+	if !c.appendable {
+		keys = make([]int, 0, len(c.cells))
+		for k := range c.cells {
+			keys = append(keys, k)
+		}
+	}
+	sort.Ints(keys)
+	if c.sw == nil {
+		c.sw = &StoreWriter{dst: &c.buf}
+	}
+	c.buf.Reset()
+	var err error
+	if !c.appendable {
+		err = c.sw.header(c.fingerprint)
+	}
+	for i, k := range keys {
+		if err != nil {
+			break
+		}
+		if i > 0 && k == keys[i-1] {
+			continue // stored again since the last write
+		}
+		err = c.sw.Append(k, c.cells[k])
+	}
+	if ferr := c.sw.Flush(); err == nil {
+		err = ferr
+	}
+	if err != nil {
+		return err
+	}
+	if !c.appendable {
+		if err := writeFileAtomic(c.path, c.buf.Bytes()); err != nil {
+			return err
+		}
+		c.appendable, c.size = true, int64(c.buf.Len())
+		return nil
+	}
+	err = appendMember(c.path, c.size, c.buf.Bytes())
+	if err == errStoreMoved {
+		c.appendable = false
+		return c.writeMemberLocked()
+	}
+	if err != nil {
+		return err
+	}
+	c.size += int64(c.buf.Len())
+	return nil
+}
+
+// errStoreMoved reports a stream store that vanished or shrank since it
+// was last written, so appending to it would lose cells.
+var errStoreMoved = errors.New("serialize: checkpoint store moved")
+
+// writeMember is the one write that appends a member; tests replace it
+// to inject failed and short writes.
+var writeMember = (*os.File).Write
+
+// appendMember appends one gzip member at offset at of the store at
+// path with a single write, opening the file only for the call. Bytes
+// past at are a torn member (a crash mid-append, or the tail Load
+// dropped) and are cut off first. A failed or short write truncates the
+// file back to at, so the store never keeps a torn member.
+func appendMember(path string, at int64, member []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if os.IsNotExist(err) {
+		return errStoreMoved
+	}
+	if err != nil {
+		return err
+	}
+	fi, err := f.Stat()
+	switch {
+	case err != nil:
+	case fi.Size() < at:
+		err = errStoreMoved
+	case fi.Size() > at:
+		err = f.Truncate(at)
+	}
+	if err == nil {
+		if _, err = writeMember(f, member); err != nil {
+			if terr := f.Truncate(at); terr != nil {
+				err = fmt.Errorf("%w (and truncating the torn member failed: %v)", err, terr)
+			}
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// writeFileAtomic replaces path with data: write to a temp file beside
+// it, then rename.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
@@ -265,10 +396,9 @@ func (c *Checkpoint) writeLocked() error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	if err := os.Rename(tmp.Name(), c.path); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
-	c.pending = 0
 	return nil
 }

@@ -4,15 +4,17 @@
 //
 // Infinite link strengths (shared-filesystem networks, cloud-cloud
 // links) are encoded as the string "inf" since JSON has no infinity
-// literal.
+// literal; Float carries that encoding to any other float that may be
+// infinite.
 //
 // The package also owns sweep persistence: Checkpoint is the
-// fingerprinted, atomically-rewritten per-cell store behind
-// runner.Options.Checkpoint, and MergeCheckpoints combines the per-shard
-// stores of a distributed sweep into one. The invariants: a store is
-// bound to one sweep's exact parameters by its fingerprint and refuses
-// any other; writes are atomic (write-to-temp, rename), so a killed
-// sweep never leaves a truncated store; and a merged store is
+// fingerprinted per-cell store behind runner.Options.Checkpoint, and
+// MergeCheckpoints combines the per-shard stores of a distributed sweep
+// into one. The invariants: a store is bound to one sweep's exact
+// parameters by its fingerprint and refuses any other; a killed sweep
+// never leaves a store that fails to resume (legacy JSON stores are
+// replaced atomically by write-to-temp and rename, stream stores grow
+// by whole gzip members and shed a torn one); and a merged store is
 // indistinguishable from one a single process wrote.
 package serialize
 
@@ -26,11 +28,15 @@ import (
 	"saga/internal/schedule"
 )
 
-// jsonWeight wraps a float64 that may be +Inf.
-type jsonWeight float64
+// Float is a float64 that may be +Inf, which JSON has no literal for:
+// it encodes as the string "inf", and every finite value encodes exactly
+// as a plain float64 does. Instances use it for infinite link strengths;
+// sweep cells use it for makespan ratios, which are +Inf when a base
+// schedule has makespan 0.
+type Float float64
 
 // MarshalJSON implements json.Marshaler.
-func (w jsonWeight) MarshalJSON() ([]byte, error) {
+func (w Float) MarshalJSON() ([]byte, error) {
 	if math.IsInf(float64(w), 1) {
 		return []byte(`"inf"`), nil
 	}
@@ -38,16 +44,16 @@ func (w jsonWeight) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
-func (w *jsonWeight) UnmarshalJSON(b []byte) error {
+func (w *Float) UnmarshalJSON(b []byte) error {
 	if string(b) == `"inf"` {
-		*w = jsonWeight(math.Inf(1))
+		*w = Float(math.Inf(1))
 		return nil
 	}
 	var f float64
 	if err := json.Unmarshal(b, &f); err != nil {
 		return err
 	}
-	*w = jsonWeight(f)
+	*w = Float(f)
 	return nil
 }
 
@@ -63,16 +69,16 @@ type jsonDep struct {
 }
 
 type jsonLink struct {
-	U        int        `json:"u"`
-	V        int        `json:"v"`
-	Strength jsonWeight `json:"strength"`
+	U        int   `json:"u"`
+	V        int   `json:"v"`
+	Strength Float `json:"strength"`
 }
 
 type jsonInstance struct {
-	Tasks  []jsonTask   `json:"tasks"`
-	Deps   []jsonDep    `json:"deps"`
-	Speeds []jsonWeight `json:"speeds"`
-	Links  []jsonLink   `json:"links"`
+	Tasks  []jsonTask `json:"tasks"`
+	Deps   []jsonDep  `json:"deps"`
+	Speeds []Float    `json:"speeds"`
+	Links  []jsonLink `json:"links"`
 }
 
 // MarshalInstance encodes an instance as JSON.
@@ -87,11 +93,11 @@ func MarshalInstance(inst *graph.Instance) ([]byte, error) {
 		}
 	}
 	for _, s := range inst.Net.Speeds {
-		ji.Speeds = append(ji.Speeds, jsonWeight(s))
+		ji.Speeds = append(ji.Speeds, Float(s))
 	}
 	for u := 0; u < inst.Net.NumNodes(); u++ {
 		for v := u + 1; v < inst.Net.NumNodes(); v++ {
-			ji.Links = append(ji.Links, jsonLink{U: u, V: v, Strength: jsonWeight(inst.Net.Links[u][v])})
+			ji.Links = append(ji.Links, jsonLink{U: u, V: v, Strength: Float(inst.Net.Links[u][v])})
 		}
 	}
 	return json.MarshalIndent(ji, "", "  ")

@@ -2,12 +2,13 @@ package serialize
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 )
@@ -58,12 +59,15 @@ const streamSuffix = ".gz"
 // into the current gzip member; Flush closes the member, making every
 // cell appended so far durable and readable even if the process dies
 // before Close. StoreWriter is not safe for concurrent use.
+//
+// It is the only encoder of stream bytes: Checkpoint drives one over an
+// in-memory buffer to build each member it appends.
 type StoreWriter struct {
-	path string
-	f    *os.File
-	zw   *gzip.Writer
-	enc  *json.Encoder
-	n    int
+	dst      io.Writer // the store file, or Checkpoint's member buffer
+	zw       *gzip.Writer
+	enc      *json.Encoder
+	inMember bool // a gzip member is open
+	n        int
 }
 
 // NewStoreWriter opens (or creates) the stream store at path for
@@ -85,7 +89,7 @@ func NewStoreWriter(path, fingerprint string) (*StoreWriter, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &StoreWriter{path: path, f: f}, nil
+		return &StoreWriter{dst: f}, nil
 	} else if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
@@ -93,27 +97,40 @@ func NewStoreWriter(path, fingerprint string) (*StoreWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &StoreWriter{path: path, f: f}
-	w.open()
-	if err := w.enc.Encode(streamHeader{Fingerprint: fingerprint}); err != nil {
+	w := &StoreWriter{dst: f}
+	if err := w.header(fingerprint); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return w, nil
 }
 
-// open starts a fresh gzip member on the underlying file.
-func (w *StoreWriter) open() {
-	w.zw = gzip.NewWriter(w.f)
-	w.enc = json.NewEncoder(w.zw)
+// begin opens a gzip member on the destination unless one is open. The
+// gzip.Writer (and its flate state) is allocated once and Reset for
+// every later member.
+func (w *StoreWriter) begin() {
+	if w.inMember {
+		return
+	}
+	if w.zw == nil {
+		w.zw = gzip.NewWriter(w.dst)
+		w.enc = json.NewEncoder(w.zw)
+	} else {
+		w.zw.Reset(w.dst)
+	}
+	w.inMember = true
+}
+
+// header writes the fingerprint header, the first value of a store.
+func (w *StoreWriter) header(fingerprint string) error {
+	w.begin()
+	return w.enc.Encode(streamHeader{Fingerprint: fingerprint})
 }
 
 // Append commits one cell to the store. The write lands in the current
 // gzip member and becomes durable at the next Flush (or Close).
 func (w *StoreWriter) Append(index int, cell json.RawMessage) error {
-	if w.zw == nil {
-		w.open()
-	}
+	w.begin()
 	w.n++
 	return w.enc.Encode(streamRecord{Index: index, Cell: cell})
 }
@@ -126,19 +143,20 @@ func (w *StoreWriter) Cells() int { return w.n }
 // Append opens a new member (gzip readers concatenate members
 // transparently).
 func (w *StoreWriter) Flush() error {
-	if w.zw == nil {
+	if !w.inMember {
 		return nil
 	}
-	err := w.zw.Close()
-	w.zw, w.enc = nil, nil
-	return err
+	w.inMember = false
+	return w.zw.Close()
 }
 
 // Close flushes the current member and closes the file.
 func (w *StoreWriter) Close() error {
 	err := w.Flush()
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
+	if c, ok := w.dst.(io.Closer); ok {
+		if cerr := c.Close(); err == nil {
+			err = cerr
+		}
 	}
 	return err
 }
@@ -225,62 +243,64 @@ func fileSize(f *os.File) int64 {
 	return -1
 }
 
-// loadStream reads a whole stream store into a cell map — the
-// Checkpoint.Load path for .gz stores, which still needs the map
-// resident for resume and dedup.
-func loadStream(path, wantFP string) (map[int]json.RawMessage, error) {
-	cells := map[int]json.RawMessage{}
-	fp, err := Iter(path, func(index int, cell json.RawMessage) error {
-		cells[index] = append(json.RawMessage(nil), cell...)
-		return nil
-	})
+// loadStream decodes the stream store data read from path for
+// Checkpoint.Load. Unlike Iter it recovers a torn final member, which is
+// what a crash mid-append leaves behind: the cells of every complete
+// member load, and size is the length of those members, where the next
+// append cuts the torn bytes off. A torn tail is one the file ends
+// inside of; the header member must be complete, and damage anywhere
+// else (a bad checksum, garbage after a member) is as fatal as in Iter.
+func loadStream(path string, data []byte, wantFP string) (cells map[int]json.RawMessage, size int64, err error) {
+	r := bytes.NewReader(data) // an io.ByteReader, so gzip never reads past a member
+	corrupt := func(err error) error { return corruptErr(path, int64(len(data)), err) }
+	zr, err := gzip.NewReader(r)
 	if err != nil {
-		return nil, err
+		return nil, 0, corrupt(err)
 	}
-	if fp != wantFP {
-		return nil, fmt.Errorf("serialize: checkpoint %s was written by a different sweep (%q, want %q) — delete it or pass a fresh path",
-			path, fp, wantFP)
+	zr.Multistream(false)
+	dec := json.NewDecoder(zr)
+	var hdr streamHeader
+	if err := dec.Decode(&hdr); err != nil {
+		return nil, 0, corrupt(err)
 	}
-	return cells, nil
-}
-
-// writeStreamLocked rewrites a whole store in stream format (one gzip
-// member, cells ascending by index, temp+rename) — the Checkpoint
-// write path for .gz paths. Output bytes are deterministic for a given
-// cell set and fingerprint.
-func writeStreamLocked(path, fingerprint string, cells map[int]json.RawMessage) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
+	if hdr.Fingerprint != wantFP {
+		return nil, 0, fmt.Errorf("serialize: checkpoint %s was written by a different sweep (%q, want %q) — delete it or pass a fresh path",
+			path, hdr.Fingerprint, wantFP)
 	}
-	zw := gzip.NewWriter(tmp)
-	enc := json.NewEncoder(zw)
-	werr := enc.Encode(streamHeader{Fingerprint: fingerprint})
-	if werr == nil {
-		keys := make([]int, 0, len(cells))
-		for k := range cells {
-			keys = append(keys, k)
-		}
-		sort.Ints(keys)
-		for _, k := range keys {
-			if werr = enc.Encode(streamRecord{Index: k, Cell: cells[k]}); werr != nil {
+	torn := func(err error) bool {
+		return size > 0 && r.Len() == 0 && errors.Is(err, io.ErrUnexpectedEOF)
+	}
+	cells = map[int]json.RawMessage{}
+	var member []streamRecord // a member's cells count only once its checksum verifies
+	for {
+		member = member[:0]
+		for {
+			var rec streamRecord
+			err := dec.Decode(&rec)
+			if err == io.EOF {
 				break
 			}
+			if err != nil {
+				if torn(err) {
+					return cells, size, nil
+				}
+				return nil, 0, corrupt(err)
+			}
+			member = append(member, rec)
 		}
+		for _, rec := range member {
+			cells[rec.Index] = rec.Cell
+		}
+		size = int64(len(data) - r.Len())
+		if err := zr.Reset(r); err == io.EOF {
+			return cells, size, nil
+		} else if err != nil {
+			if torn(err) {
+				return cells, size, nil
+			}
+			return nil, 0, corrupt(err)
+		}
+		zr.Multistream(false)
+		dec = json.NewDecoder(zr)
 	}
-	if cerr := zw.Close(); werr == nil {
-		werr = cerr
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return werr
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
 }
